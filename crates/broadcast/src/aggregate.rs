@@ -11,7 +11,7 @@
 //! leaves as one `EchoBatch { entries }` multicast riding the same
 //! `Dest::All` zero-clone slab path the individual echoes would have used.
 //! Receivers unbatch in entry order, so the delivered-echo *multiset* — and
-//! therefore every witness map, threshold crossing, and decision — is
+//! therefore every witness set, threshold crossing, and decision — is
 //! exactly what the unbatched protocol produces.
 //!
 //! **Dedup.** The aggregator keeps a `seen` set of every instance key it
@@ -36,7 +36,7 @@
 //! machines themselves: it never sends anything, it only buffers and hands
 //! back `(depth, entries)` batches for the actor layer to multicast.
 
-use dex_types::StepDepth;
+use dex_types::{FxBuildHasher, StepDepth};
 use std::collections::HashSet;
 use std::hash::Hash;
 
@@ -58,8 +58,9 @@ pub struct EchoAggregator<K, V> {
     /// one delivery tick rarely spans more than two distinct depths.
     pending: Vec<(StepDepth, Vec<(K, V)>)>,
     /// Every instance key this process has ever offered — the
-    /// cross-recycling dedup line.
-    seen: HashSet<K>,
+    /// cross-recycling dedup line. Membership only, so the deterministic
+    /// hasher changes no order.
+    seen: HashSet<K, FxBuildHasher>,
     /// Whether a flush tick is already in flight.
     armed: bool,
 }
@@ -69,7 +70,7 @@ impl<K: Eq + Hash + Clone, V> EchoAggregator<K, V> {
     pub fn new() -> Self {
         EchoAggregator {
             pending: Vec::new(),
-            seen: HashSet::new(),
+            seen: HashSet::default(),
             armed: false,
         }
     }

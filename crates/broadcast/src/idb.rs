@@ -1,9 +1,9 @@
 //! Algorithm IDB — Identical Broadcast (paper appendix, Fig. 3).
 
 use crate::key::InstanceKey;
+use crate::witness::Witnesses;
 use crate::Action;
-use dex_types::{ProcessId, SystemConfig, Value};
-use std::collections::{HashMap, HashSet};
+use dex_types::{FxHashMap, ProcessId, SystemConfig, Value};
 
 /// A protocol message of the Identical Broadcast algorithm.
 ///
@@ -36,7 +36,7 @@ struct InstanceState<V> {
     /// `first-accept(j)`: set once `Id-Receive` has fired.
     accepted: bool,
     /// Distinct witnesses per value.
-    witnesses: HashMap<V, HashSet<ProcessId>>,
+    witnesses: Witnesses<V>,
 }
 
 impl<V> Default for InstanceState<V> {
@@ -44,7 +44,7 @@ impl<V> Default for InstanceState<V> {
         InstanceState {
             echoed: false,
             accepted: false,
-            witnesses: HashMap::new(),
+            witnesses: Witnesses::default(),
         }
     }
 }
@@ -67,7 +67,7 @@ impl<V> Default for InstanceState<V> {
 #[derive(Clone, Debug)]
 pub struct IdenticalBroadcast<K, V> {
     config: SystemConfig,
-    instances: HashMap<K, InstanceState<V>>,
+    instances: FxHashMap<K, InstanceState<V>>,
 }
 
 impl<K: InstanceKey, V: Value> IdenticalBroadcast<K, V> {
@@ -84,7 +84,7 @@ impl<K: InstanceKey, V: Value> IdenticalBroadcast<K, V> {
         );
         IdenticalBroadcast {
             config,
-            instances: HashMap::new(),
+            instances: FxHashMap::default(),
         }
     }
 
@@ -109,12 +109,12 @@ impl<K: InstanceKey, V: Value> IdenticalBroadcast<K, V> {
         }
     }
 
-    /// Forgets all broadcast instances, keeping bounded witness-map
+    /// Forgets all broadcast instances, keeping bounded instance-map
     /// capacity.
     ///
     /// This is the recycling hook for pipelined replication: one IDB state
     /// machine is reused across many consecutive log slots, so the
-    /// per-instance witness maps are cleared in place instead of the whole
+    /// instance map is cleared in place instead of the whole
     /// machine being reallocated per slot. Retained capacity is bounded by
     /// [`RETAINED_CAPACITY`](crate::RETAINED_CAPACITY): a slot that opened
     /// unusually many instances (e.g. a long UC round tail) must not pin
@@ -135,8 +135,7 @@ impl<K: InstanceKey, V: Value> IdenticalBroadcast<K, V> {
     pub fn witness_count(&self, key: &K, value: &V) -> usize {
         self.instances
             .get(key)
-            .and_then(|s| s.witnesses.get(value))
-            .map_or(0, HashSet::len)
+            .map_or(0, |s| s.witnesses.count(value))
     }
 
     fn on_init(
@@ -161,25 +160,23 @@ impl<K: InstanceKey, V: Value> IdenticalBroadcast<K, V> {
         })]
     }
 
-    fn on_echo(
+    /// Handles one received `(echo, value)` for instance `key` — the
+    /// `Echo` arm of [`on_message`](Self::on_message), callable with
+    /// borrowed parts so batched echoes need not be rebuilt as messages.
+    pub fn on_echo(
         &mut self,
         from: ProcessId,
         key: &K,
         value: &V,
     ) -> Vec<Action<K, IdbMessage<K, V>, V>> {
+        // Only a Byzantine sender names an origin outside `0..n`, and at
+        // most `t` such echoes can never reach a threshold: open no
+        // instance for it, so origins in the instance map stay below `n`.
+        if key.origin().index() >= self.config.n() {
+            return Vec::new();
+        }
         let state = self.instances.entry(key.clone()).or_default();
-        // Clone the value only for the first witness of a distinct value;
-        // the all-to-all echo flood then only inserts sender ids.
-        let num = match state.witnesses.get_mut(value) {
-            Some(set) => {
-                set.insert(from);
-                set.len()
-            }
-            None => {
-                state.witnesses.insert(value.clone(), HashSet::from([from]));
-                1
-            }
-        };
+        let num = state.witnesses.record(value, from);
         let mut actions = Vec::new();
         if num >= self.config.echo_threshold() && !state.echoed {
             // Witness amplification: enough echoes convince us even without
@@ -248,6 +245,15 @@ mod tests {
         };
         assert!(idb.on_message(p(3), &forged).is_empty());
         assert_eq!(idb.witness_count(&p(0), &9), 0);
+    }
+
+    #[test]
+    fn echo_for_origin_outside_the_system_is_ignored() {
+        let mut idb = Idb::new(cfg(5, 1));
+        assert!(idb.on_message(p(1), &echo(5, 7)).is_empty());
+        assert!(idb.on_message(p(1), &echo(1 << 20, 7)).is_empty());
+        assert!(idb.instances.is_empty());
+        assert_eq!(idb.witness_count(&p(5), &7), 0);
     }
 
     #[test]

@@ -56,7 +56,10 @@
 mod aggregate;
 mod idb;
 mod key;
+#[cfg(test)]
+mod oracle;
 mod reliable;
+mod witness;
 
 pub use aggregate::{EchoAggregator, RETAINED_CAPACITY};
 pub use idb::{IdbMessage, IdenticalBroadcast};

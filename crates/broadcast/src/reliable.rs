@@ -9,9 +9,9 @@
 //! eventually delivers, even for a faulty sender.
 
 use crate::key::InstanceKey;
+use crate::witness::Witnesses;
 use crate::Action;
-use dex_types::{ProcessId, SystemConfig, Value};
-use std::collections::{HashMap, HashSet};
+use dex_types::{FxHashMap, ProcessId, SystemConfig, Value};
 
 /// A protocol message of Reliable Broadcast.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -45,28 +45,8 @@ struct InstanceState<V> {
     echoed: bool,
     readied: bool,
     delivered: bool,
-    echoes: HashMap<V, HashSet<ProcessId>>,
-    readies: HashMap<V, HashSet<ProcessId>>,
-}
-
-/// Records `from` as a witness for `value` and returns the resulting count.
-/// Clones the value only for the first witness of a distinct value, so the
-/// all-to-all flood only inserts sender ids.
-fn witness<V: Value>(
-    map: &mut HashMap<V, HashSet<ProcessId>>,
-    value: &V,
-    from: ProcessId,
-) -> usize {
-    match map.get_mut(value) {
-        Some(set) => {
-            set.insert(from);
-            set.len()
-        }
-        None => {
-            map.insert(value.clone(), HashSet::from([from]));
-            1
-        }
-    }
+    echoes: Witnesses<V>,
+    readies: Witnesses<V>,
 }
 
 impl<V> Default for InstanceState<V> {
@@ -75,8 +55,8 @@ impl<V> Default for InstanceState<V> {
             echoed: false,
             readied: false,
             delivered: false,
-            echoes: HashMap::new(),
-            readies: HashMap::new(),
+            echoes: Witnesses::default(),
+            readies: Witnesses::default(),
         }
     }
 }
@@ -94,7 +74,7 @@ impl<V> Default for InstanceState<V> {
 #[derive(Clone, Debug)]
 pub struct ReliableBroadcast<K, V> {
     config: SystemConfig,
-    instances: HashMap<K, InstanceState<V>>,
+    instances: FxHashMap<K, InstanceState<V>>,
 }
 
 impl<K: InstanceKey, V: Value> ReliableBroadcast<K, V> {
@@ -112,7 +92,7 @@ impl<K: InstanceKey, V: Value> ReliableBroadcast<K, V> {
         );
         ReliableBroadcast {
             config,
-            instances: HashMap::new(),
+            instances: FxHashMap::default(),
         }
     }
 
@@ -137,6 +117,14 @@ impl<K: InstanceKey, V: Value> ReliableBroadcast<K, V> {
         self.instances.get(key).is_some_and(|s| s.delivered)
     }
 
+    /// Distinct `(echo, ready)` witnesses seen for `(key, value)`.
+    #[cfg(test)]
+    pub(crate) fn witness_counts(&self, key: &K, value: &V) -> (usize, usize) {
+        self.instances
+            .get(key)
+            .map_or((0, 0), |s| (s.echoes.count(value), s.readies.count(value)))
+    }
+
     fn echo_quorum(&self) -> usize {
         // > (n + t) / 2, i.e. floor((n + t) / 2) + 1.
         (self.config.n() + self.config.t()) / 2 + 1
@@ -151,6 +139,15 @@ impl<K: InstanceKey, V: Value> ReliableBroadcast<K, V> {
         from: ProcessId,
         msg: &RbMessage<K, V>,
     ) -> Vec<Action<K, RbMessage<K, V>, V>> {
+        // Only a Byzantine sender names an origin outside `0..n`, and at
+        // most `t` such messages can never reach a threshold: open no
+        // instance for it, so origins in the instance map stay below `n`.
+        let (RbMessage::Init { key, .. }
+        | RbMessage::Echo { key, .. }
+        | RbMessage::Ready { key, .. }) = msg;
+        if key.origin().index() >= self.config.n() {
+            return Vec::new();
+        }
         match msg {
             RbMessage::Init { key, value } => {
                 if from != key.origin() {
@@ -169,7 +166,7 @@ impl<K: InstanceKey, V: Value> ReliableBroadcast<K, V> {
             RbMessage::Echo { key, value } => {
                 let echo_quorum = self.echo_quorum();
                 let state = self.instances.entry(key.clone()).or_default();
-                let num = witness(&mut state.echoes, value, from);
+                let num = state.echoes.record(value, from);
                 if num >= echo_quorum && !state.readied {
                     state.readied = true;
                     return vec![Action::Broadcast(RbMessage::Ready {
@@ -181,7 +178,7 @@ impl<K: InstanceKey, V: Value> ReliableBroadcast<K, V> {
             }
             RbMessage::Ready { key, value } => {
                 let state = self.instances.entry(key.clone()).or_default();
-                let num = witness(&mut state.readies, value, from);
+                let num = state.readies.record(value, from);
                 let mut actions = Vec::new();
                 // Thresholds written as in the literature (t + 1, 2t + 1).
                 #[allow(clippy::int_plus_one)]
@@ -248,6 +245,19 @@ mod tests {
                 }
             )
             .is_empty());
+    }
+
+    #[test]
+    fn messages_for_origins_outside_the_system_are_ignored() {
+        let mut m = rb(4, 1);
+        let key = p(4);
+        assert!(m
+            .on_message(p(1), &RbMessage::Echo { key, value: 5 })
+            .is_empty());
+        assert!(m
+            .on_message(p(1), &RbMessage::Ready { key, value: 5 })
+            .is_empty());
+        assert!(m.instances.is_empty());
     }
 
     #[test]

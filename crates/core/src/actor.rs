@@ -179,16 +179,15 @@ where
             DexMsg::EchoBatch(entries) => {
                 // Unbatch deterministically in entry order: each entry is
                 // exactly the echo the sender would have multicast
-                // individually, so witness maps, thresholds, obs events
-                // and decisions replay the unbatched protocol.
+                // individually, so witness sets, thresholds, obs events
+                // and decisions replay the unbatched protocol. Entries are
+                // fed by reference; nothing is cloned.
                 let mut out = Outbox::new();
                 let mut decision = None;
-                for (key, value) in entries {
-                    let echo = DexMsg::Idb(IdbMessage::Echo {
-                        key: *key,
-                        value: value.clone(),
-                    });
-                    let d = self.process.on_message(from, &echo, ctx.rng(), &mut out);
+                for (origin, value) in entries {
+                    let d = self
+                        .process
+                        .on_echo(from, *origin, value, ctx.rng(), &mut out);
                     decision = decision.or(d);
                 }
                 self.flush(&mut out, ctx);

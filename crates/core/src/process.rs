@@ -157,7 +157,7 @@ where
 
     /// Resets the machine in place for a fresh consensus instance, reusing
     /// every allocation the previous instance grew: the `J1`/`J2` view
-    /// buffers and their tally tables, the IDB witness maps, and the UC
+    /// buffers and their tally tables, the IDB instance map, and the UC
     /// forwarding outbox all keep their capacity. The caller supplies a
     /// fresh underlying-consensus machine (its state is tiny compared to
     /// the tallies) and takes back the old one.
@@ -264,7 +264,7 @@ where
             DexMsg::Idb(m) => self.on_idb(from, m, rng, out),
             DexMsg::Uc(m) => self.on_uc(from, m, rng, out),
             // Aggregation plumbing is handled one layer up: the actor
-            // demuxes a batch into per-entry `Idb(Echo)` calls and consumes
+            // feeds a batch entry by entry through `on_echo` and consumes
             // flush ticks locally, so the state machine never sees either.
             DexMsg::EchoBatch(_) | DexMsg::EchoFlushTick => None,
         }
@@ -323,20 +323,53 @@ where
         rng: &mut StdRng,
         out: &mut Outbox<DexMsg<V, U::Msg>>,
     ) -> Option<Decision<V>> {
-        if self.obs.is_active() {
-            match msg {
-                IdbMessage::Init { key, value } => self.obs.record(EventKind::IdbInit {
-                    origin: key.index() as u16,
-                    code: obs_code(value),
-                }),
-                IdbMessage::Echo { key, value } => self.obs.record(EventKind::IdbEcho {
-                    origin: key.index() as u16,
-                    code: obs_code(value),
-                }),
+        match msg {
+            IdbMessage::Init { key, value } => {
+                if self.obs.is_active() {
+                    self.obs.record(EventKind::IdbInit {
+                        origin: key.index() as u16,
+                        code: obs_code(value),
+                    });
+                }
+                let actions = self.idb.on_message(from, msg);
+                self.after_idb(actions, rng, out)
             }
+            IdbMessage::Echo { key, value } => self.on_echo(from, *key, value, rng, out),
         }
+    }
+
+    /// One received IDB echo `(echo, value, origin)` from `from`: exactly
+    /// what [`on_message`](Self::on_message) does for
+    /// `DexMsg::Idb(IdbMessage::Echo { .. })`, taking the parts by
+    /// reference so a batch of echoes is fed without rebuilding messages.
+    pub fn on_echo(
+        &mut self,
+        from: ProcessId,
+        origin: ProcessId,
+        value: &V,
+        rng: &mut StdRng,
+        out: &mut Outbox<DexMsg<V, U::Msg>>,
+    ) -> Option<Decision<V>> {
+        if self.obs.is_active() {
+            self.obs.record(EventKind::IdbEcho {
+                origin: origin.index() as u16,
+                code: obs_code(value),
+            });
+        }
+        let actions = self.idb.on_echo(from, &origin, value);
+        self.after_idb(actions, rng, out)
+    }
+
+    /// The tail shared by both IDB handlers: broadcast the machine's
+    /// echoes, then process each `Id-Receive`.
+    fn after_idb(
+        &mut self,
+        actions: Vec<Action<ProcessId, IdbMessage<ProcessId, V>, V>>,
+        rng: &mut StdRng,
+        out: &mut Outbox<DexMsg<V, U::Msg>>,
+    ) -> Option<Decision<V>> {
         let mut delivered = Vec::new();
-        for action in self.idb.on_message(from, msg) {
+        for action in actions {
             match action {
                 Action::Broadcast(m) => out.broadcast(DexMsg::Idb(m)),
                 Action::Deliver { key, value } => delivered.push((key, value)),
@@ -401,7 +434,8 @@ where
     }
 
     /// Lines 19–22: run the underlying consensus; adopt its decision.
-    fn on_uc(
+    /// Public so batched UC traffic can be fed by reference.
+    pub fn on_uc(
         &mut self,
         from: ProcessId,
         msg: &U::Msg,

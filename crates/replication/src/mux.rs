@@ -14,7 +14,7 @@
 //! * **Recycle**: once the committed floor has slid a full window past a
 //!   decided slot, that slot's instance is retired into a free pool and its
 //!   allocations — the `J1`/`J2` [`View`](dex_types::View) tally buffers,
-//!   the IDB witness maps, the UC forwarding outbox — are reset in place
+//!   the IDB instance map, the UC forwarding outbox — are reset in place
 //!   (see [`DexProcess::recycle`]) and handed to the next slot that opens.
 //!   Decided slots keep participating until they retire: the lag of one
 //!   full window preserves the paper's "keep echoing after deciding"
@@ -26,9 +26,8 @@
 
 use dex_conditions::FrequencyPair;
 use dex_core::DexProcess;
-use dex_types::{ProcessId, SystemConfig, Value};
+use dex_types::{FxHashMap, ProcessId, SystemConfig, Value};
 use dex_underlying::OracleConsensus;
-use std::collections::HashMap;
 
 /// One slot's consensus machine: DEX over the frequency-based condition
 /// with the oracle underlying consensus.
@@ -54,7 +53,7 @@ pub struct SlotMux<C: Value> {
     /// committed floor. `1` reproduces sequential replication exactly.
     window: u64,
     /// Live instances, keyed by slot.
-    active: HashMap<u64, SlotInstance<C>>,
+    active: FxHashMap<u64, SlotInstance<C>>,
     /// Reset instances ready for reuse, tagged with the slot they served.
     pool: Vec<(u64, SlotInstance<C>)>,
     /// Slots below this line are retired: committed locally and no longer
@@ -74,7 +73,7 @@ impl<C: Value> SlotMux<C> {
             me,
             coordinator,
             window: 1,
-            active: HashMap::new(),
+            active: FxHashMap::default(),
             pool: Vec::new(),
             retire_floor: 0,
             recycled: 0,
@@ -154,7 +153,10 @@ impl<C: Value> SlotMux<C> {
             return;
         }
         // Bounded scan: the live set holds at most a couple of windows.
-        let retiring: Vec<u64> = self.active.keys().copied().filter(|s| *s < floor).collect();
+        // Pool in ascending slot order, so which freed instance the next
+        // slot reuses never depends on the map's iteration order.
+        let mut retiring: Vec<u64> = self.active.keys().copied().filter(|s| *s < floor).collect();
+        retiring.sort_unstable();
         for slot in retiring {
             let instance = self.active.remove(&slot).expect("listed above");
             self.pool.push((slot, instance));
@@ -218,6 +220,28 @@ mod tests {
         assert_eq!(how, Checkout::Allocated);
         assert_eq!(m.recycled(), 2);
         assert_eq!(m.allocated(), 5);
+    }
+
+    #[test]
+    fn retired_instances_are_reused_in_slot_order() {
+        let mut m = mux();
+        m.set_window(4);
+        for slot in 0..6 {
+            m.checkout(slot);
+        }
+        m.retire_below(4);
+        // The pool is filled in ascending slot order and drained from the
+        // top, whatever the live map's iteration order.
+        let reused: Vec<Checkout> = (6..10).map(|slot| m.checkout(slot).1).collect();
+        assert_eq!(
+            reused,
+            vec![
+                Checkout::Recycled(3),
+                Checkout::Recycled(2),
+                Checkout::Recycled(1),
+                Checkout::Recycled(0),
+            ]
+        );
     }
 
     #[test]

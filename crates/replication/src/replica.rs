@@ -4,17 +4,18 @@
 
 use crate::log::ReplicatedLog;
 use crate::machine::StateMachine;
-use crate::mux::{Checkout, SlotMux};
+use crate::mux::{Checkout, SlotInstance, SlotMux};
 use crate::wal::{Durability, WalRecord};
 use dex_adversary::{ByzantineActor, ByzantineStrategy, ProtocolForgery};
 use dex_broadcast::{EchoAggregator, IdbMessage};
-use dex_core::{DecisionPath, DexMsg, Reliable, ResendPolicy};
+use dex_core::{Decision, DecisionPath, DexMsg, Reliable, ResendPolicy};
 use dex_obs::{obs_code, EventKind, Recorder};
 use dex_simnet::{
     Actor, Context, DelayModel, FaultSchedule, MsgClass, NetStats, Recoverable, Simulation,
 };
 use dex_types::{Dest, ProcessId, StepDepth, SystemConfig, Value};
 use dex_underlying::{OracleMsg, Outbox};
+use rand::rngs::StdRng;
 use std::collections::{HashMap, VecDeque};
 
 /// Per-slot DEX wire messages for command type `C`.
@@ -479,6 +480,14 @@ impl<SM: StateMachine> Replica<SM> {
         }
     }
 
+    /// Whether traffic for `slot` reaches a live instance: inside the
+    /// agreed horizon and not yet retired. Batched traffic that fails this
+    /// is dropped, exactly as [`on_slot_msg`](Self::on_slot_msg) drops a
+    /// single non-proposal message for the same slot.
+    fn routable(&self, slot: u64) -> bool {
+        slot < self.target_slots && !self.mux.is_retired(slot)
+    }
+
     fn on_slot_msg(
         &mut self,
         from: ProcessId,
@@ -513,10 +522,27 @@ impl<SM: StateMachine> Replica<SM> {
             }
             return;
         }
+        self.step_slot(slot, ctx, |instance, rng, out| {
+            instance.on_message(from, inner, rng, out)
+        });
+    }
+
+    /// Runs one step of a routable slot's instance — `step` feeds it one
+    /// message — then ships the instance's output and commits a decision
+    /// the step produced. Single messages and both batch kinds share this
+    /// entry, so batched traffic takes the exact per-slot path.
+    fn step_slot<F>(&mut self, slot: u64, ctx: &mut Context<'_, ReplicaMsg<SM::Command>>, step: F)
+    where
+        F: FnOnce(
+            &mut SlotInstance<SM::Command>,
+            &mut StdRng,
+            &mut Outbox<SlotMsg<SM::Command>>,
+        ) -> Option<Decision<SM::Command>>,
+    {
         let mut out = Outbox::new();
         let (decision, how) = {
             let (instance, how) = self.mux.checkout(slot);
-            (instance.on_message(from, inner, ctx.rng(), &mut out), how)
+            (step(instance, ctx.rng(), &mut out), how)
         };
         self.note_checkout(slot, how);
         self.flush_slot(slot, out, ctx);
@@ -751,12 +777,13 @@ impl<SM: StateMachine> Replica<SM> {
     ) {
         for (slot, origin, value) in entries {
             // Per-slot guards (horizon, retirement, first-echo) all apply
-            // exactly as for un-batched echo traffic.
-            let inner = DexMsg::Idb(IdbMessage::Echo {
-                key: *origin,
-                value: value.clone(),
-            });
-            self.on_slot_msg(from, *slot, &inner, ctx);
+            // exactly as for un-batched echo traffic; the entry is fed by
+            // reference.
+            if self.routable(*slot) {
+                self.step_slot(*slot, ctx, |instance, rng, out| {
+                    instance.on_echo(from, *origin, value, rng, out)
+                });
+            }
         }
     }
 
@@ -788,7 +815,11 @@ impl<SM: StateMachine> Replica<SM> {
         for (slot, m) in entries {
             // Per-slot guards (horizon, retirement, oracle authentication)
             // all apply exactly as for un-batched traffic.
-            self.on_slot_msg(from, *slot, &DexMsg::Uc(m.clone()), ctx);
+            if self.routable(*slot) {
+                self.step_slot(*slot, ctx, |instance, rng, out| {
+                    instance.on_uc(from, m, rng, out)
+                });
+            }
         }
     }
 

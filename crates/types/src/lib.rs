@@ -16,6 +16,8 @@
 //!   `dist(J₁, J₂)`, containment `J₁ ≤ J₂` and the non-default count `|J|`.
 //! * [`StepDepth`] — causal communication-step accounting, the complexity
 //!   measure of the paper (one-step / two-step decisions).
+//! * [`FxHashMap`] — a deterministic, fast map for the small integer keys
+//!   (process ids, slots) the protocol state machines index by.
 //!
 //! # Examples
 //!
@@ -39,6 +41,7 @@
 mod config;
 mod dest;
 mod error;
+mod hash;
 mod step;
 mod value;
 mod vector;
@@ -47,6 +50,7 @@ mod view;
 pub use config::{ProcessId, SystemConfig};
 pub use dest::Dest;
 pub use error::ConfigError;
+pub use hash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use step::StepDepth;
 pub use value::Value;
 pub use vector::InputVector;

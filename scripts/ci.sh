@@ -45,6 +45,10 @@ stage_test() {
   echo "== test"
   cargo test -q --workspace
 
+  echo "== perfbench tests: shim transparency and run correctness"
+  # perfbench is a package of its own, outside the workspace.
+  cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
   echo "== example smoke: quickstart, equivocation_demo"
   cargo run --release -q --example quickstart > /dev/null
   cargo run --release -q --example equivocation_demo > /dev/null

@@ -61,3 +61,30 @@ fn randomized_underlying_replays_too() {
     ));
     assert_eq!(a, b);
 }
+
+#[test]
+fn pipelined_slot_recycling_replays_identically() {
+    // Which freed instance a new slot reuses is recorded in every
+    // `SlotReuse` event, so it must not depend on hash-map iteration order:
+    // two runs in one process (distinct map instances) must match event for
+    // event.
+    use dex::harness::pipeline::PipelineRun;
+    let run = PipelineRun {
+        config: SystemConfig::new(7, 1).unwrap(),
+        window: 8,
+        batch: 4,
+        slots: 24,
+        seed: 1,
+        aggregate: true,
+    };
+    let (a, trace_a) = run.traced();
+    let (b, trace_b) = run.traced();
+    assert!(a.recycled > 0, "the run must recycle slot instances");
+    assert_eq!((a.recycled, a.ticks), (b.recycled, b.ticks));
+    assert_eq!(trace_a.processes.len(), trace_b.processes.len());
+    for (pa, pb) in trace_a.processes.iter().zip(&trace_b.processes) {
+        let first_diff = pa.events.iter().zip(&pb.events).position(|(x, y)| x != y);
+        assert_eq!(first_diff, None, "process {} diverged", pa.id);
+        assert_eq!(pa.events.len(), pb.events.len(), "process {}", pa.id);
+    }
+}
